@@ -548,10 +548,11 @@ impl OnlineSynchronizer {
     /// revalidates the critical cycle cached by the previous call — still
     /// certifying under pure tightenings means `A_max` is unchanged — and
     /// only on a miss runs Howard, warm-started from the cached policy.
-    /// Only the final shortest-path pass (the cheap SHIFTS step) is always
-    /// recomputed. The result is bit-identical to the batch
-    /// [`SyncOutcome::from_global_estimates`] on the same closure, except
-    /// that the reported critical cycle may be a different (equally
+    /// Only the final shortest-path pass is always recomputed: a dense
+    /// Bellman–Ford over the component's `n²` shifted estimates in exact
+    /// scaled `i64`, `O(n²)` per round. The result is bit-identical to the
+    /// batch [`SyncOutcome::from_global_estimates`] on the same closure,
+    /// except that the reported critical cycle may be a different (equally
     /// certifying) witness.
     ///
     /// # Errors

@@ -4,14 +4,20 @@
 //! The stage splits into two steps: `A_max` (a maximum cycle mean) and a
 //! single-source shortest-path pass. For `A_max` three interchangeable
 //! kernels exist — see [`ShiftsKernel`]. All of them are exact and agree on
-//! every input; [`shifts`] runs Howard's policy iteration, the fastest in
-//! practice, and keeps Karp (the paper's algorithm) as the differential
-//! oracle the test suite races it against. DESIGN.md §4c spells out the
-//! scaling bound, the fallback rule, and the warm-start invariant.
+//! every input; [`shifts`] runs Howard's policy iteration, which the online
+//! synchronizer warm-starts from the previous policy, and keeps Karp (the
+//! paper's algorithm) as the differential oracle the test suite races it
+//! against. Howard is not the fastest cold kernel: scaled-`i64` Karp beats
+//! it on closure-shaped matrices (`BENCH_karp.json`: 40.9 ms against
+//! 164 ms at n = 256; the e2ebench kernel rows at n = 64: 1.14 ms against
+//! 2.68 ms cold and 1.36 ms warm). The shortest-path pass runs in exact
+//! scaled `i64` and falls back to rationals only when scaling bails.
+//! DESIGN.md §4c spells out the scaling bounds, the fallback rules, and
+//! the warm-start invariant.
 
 use clocksync_graph::{
-    bellman_ford, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, CycleMean, DiGraph,
-    SquareMatrix,
+    bellman_ford, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_corrections,
+    CycleMean, DiGraph, SquareMatrix,
 };
 use clocksync_model::ProcessorId;
 use clocksync_time::{Ext, ExtRatio, Ratio};
@@ -37,8 +43,11 @@ pub struct ShiftsResult {
 /// certifies the same precision. They differ solely in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShiftsKernel {
-    /// Howard's policy iteration — the default practical kernel, fastest
-    /// on closure-shaped (dense, metric) instances and warm-startable.
+    /// Howard's policy iteration — the default, and the only
+    /// warm-startable kernel. Cold, it is slower than
+    /// [`ShiftsKernel::KarpScaled`] on closure-shaped instances (2.68 ms
+    /// against 1.14 ms at n = 64 in the e2ebench kernel rows); warm, it
+    /// took 1.36 ms there.
     #[default]
     Howard,
     /// Karp through the scaled-`i64` kernel
@@ -204,8 +213,24 @@ fn cycle_mean(closure: &SquareMatrix<ExtRatio>, cycle: &[usize]) -> Ratio {
     total * Ratio::new(1, cycle.len() as i128)
 }
 
-/// Step 2 of SHIFTS: distances from `root` under `w(p,q) = A_max − m̃s(p,q)`.
+/// Step 2 of SHIFTS: distances from `root` under `w(p,q) = A_max − m̃s(p,q)`,
+/// in exact scaled `i64` ([`try_scaled_corrections`]) unless scaling
+/// bails, in which case the rational pass runs. Both give the same
+/// distances (shortest-path distances are unique); debug builds check
+/// this on every call.
 fn corrections_under(closure: &SquareMatrix<ExtRatio>, root: usize, a_max: Ratio) -> Vec<Ratio> {
+    let Some(scaled) = try_scaled_corrections(closure, a_max, root) else {
+        return rational_corrections(closure, root, a_max);
+    };
+    let dist = scaled.expect("A_max-shifted closure has no negative cycles by Theorem 4.4");
+    debug_assert_eq!(dist, rational_corrections(closure, root, a_max));
+    dist
+}
+
+/// The exact-rational step 2: Bellman–Ford over the complete
+/// `Ext<Ratio>` graph. The fallback of [`corrections_under`] and its
+/// differential oracle.
+fn rational_corrections(closure: &SquareMatrix<ExtRatio>, root: usize, a_max: Ratio) -> Vec<Ratio> {
     let n = closure.n();
     let mut g = DiGraph::new(n);
     for (i, j, &w) in closure.iter_off_diagonal() {
@@ -401,6 +426,48 @@ mod tests {
             let w = w.finite().unwrap();
             assert!(w - r.corrections[i] + r.corrections[j] <= r.precision);
         }
+    }
+
+    /// Every kernel's SHIFTS on `c` must give the rational pass's
+    /// corrections, whether or not the scaled pass applies.
+    fn assert_corrections_match_rational(c: &SquareMatrix<ExtRatio>) {
+        for kernel in [
+            ShiftsKernel::Howard,
+            ShiftsKernel::KarpScaled,
+            ShiftsKernel::KarpExact,
+        ] {
+            let r = shifts_with_kernel(c, 0, kernel);
+            assert_eq!(
+                r.corrections,
+                rational_corrections(c, 0, r.precision),
+                "{kernel:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn corrections_fall_back_when_the_common_denominator_passes_the_cap() {
+        // Coprime denominators, each below 2^40, whose LCM is above it.
+        let (p, q) = ((1i128 << 21) - 9, (1i128 << 21) - 21);
+        let mut c = two_node(0, 0);
+        c[(0, 1)] = Ext::Finite(Ratio::new(1, p));
+        c[(1, 0)] = Ext::Finite(Ratio::new(1, q));
+        let r = shifts(&c, 0);
+        assert!(try_scaled_corrections(&c, r.precision, 0).is_none());
+        assert_corrections_match_rational(&c);
+    }
+
+    #[test]
+    fn corrections_fall_back_one_past_the_magnitude_limit() {
+        // Two nodes: A_max = (a + b)/2 and the weights are ±(b − a)/2, so
+        // b = 2·limit puts a weight exactly on (i64::MAX/4)/(n+1).
+        let limit = ((i64::MAX / 4) / 3) as i128;
+        let at = two_node(0, 2 * limit);
+        assert!(try_scaled_corrections(&at, shifts(&at, 0).precision, 0).is_some());
+        assert_corrections_match_rational(&at);
+        let past = two_node(0, 2 * (limit + 1));
+        assert!(try_scaled_corrections(&past, shifts(&past, 0).precision, 0).is_none());
+        assert_corrections_match_rational(&past);
     }
 
     #[test]

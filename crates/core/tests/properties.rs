@@ -2,6 +2,7 @@
 //! executions the outcome must honor the paper's guarantees exactly.
 
 use clocksync::{DelayRange, LinkAssumption, Network, Synchronizer};
+use clocksync_graph::try_scaled_corrections;
 use clocksync_model::{Execution, ExecutionBuilder, ProcessorId};
 use clocksync_time::{Ext, Nanos, Ratio, RealTime};
 use proptest::prelude::*;
@@ -133,6 +134,21 @@ proptest! {
         let achieved = exec.discrepancy(outcome.corrections());
         prop_assert!(Ext::Finite(achieved) <= outcome.precision());
         prop_assert_eq!(outcome.rho_bar(outcome.corrections()), outcome.precision());
+    }
+
+    /// Real estimate closures take the scaled-`i64` corrections pass, and
+    /// it reproduces the outcome's corrections exactly: a silent fall-back
+    /// to the rational pass fails here.
+    #[test]
+    fn estimate_closures_take_the_scaled_corrections_path(inst in bounds_instance()) {
+        let net = build_network(&inst);
+        let exec = build_execution(&inst);
+        let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
+        let a_max = outcome.precision().finite().expect("connected instance");
+        let scaled = try_scaled_corrections(outcome.global_shift_estimates(), a_max, 0);
+        prop_assert!(scaled.is_some(), "scaling unexpectedly fell back");
+        let scaled = scaled.unwrap().expect("no negative cycle at A_max");
+        prop_assert_eq!(scaled.as_slice(), outcome.corrections());
     }
 
     /// Optimality (Theorem 4.4): perturbing the corrections in any way we

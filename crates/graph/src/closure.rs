@@ -30,26 +30,11 @@ use std::fmt;
 
 use clocksync_time::{Ext, ExtRatio, Ratio};
 
+use crate::scaling::{common_denominator, scale_matrix};
 use crate::{
     blocked_floyd_warshall_i64, floyd_warshall_with_paths, hierarchical_closure_i64,
     sparse_closure_i64, NegativeCycleError, SquareMatrix, Weight, UNREACHABLE,
 };
-
-/// Largest common denominator the scaling pass will build. Estimate
-/// matrices produced from integer-nanosecond observations have
-/// denominators 1 or 2 (the round-trip estimator halves an RTT), so this
-/// is generous; it exists to bail out before `lcm` or the scaled
-/// magnitudes overflow.
-const MAX_SCALE: i128 = 1 << 40;
-
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.abs()
-}
 
 /// Why [`scaled_weights`] refused to rescale a matrix to `i64` — the
 /// reasons the GLOBAL ESTIMATES step falls off the scaled kernels onto the
@@ -89,8 +74,9 @@ impl fmt::Display for ScaleBailout {
 /// Exactly rescales an extended-rational matrix to sentinel-encoded `i64`,
 /// returning the scaled matrix and the common denominator, or the
 /// [`ScaleBailout`] reason when the matrix cannot be represented safely
-/// (`NegInf` entries, an oversized common denominator, or magnitudes big
-/// enough that `n` additions could approach [`UNREACHABLE`]).
+/// (checked in this order: `NegInf` entries, an oversized common
+/// denominator, or magnitudes big enough that `n` additions could approach
+/// [`UNREACHABLE`]).
 ///
 /// # Errors
 ///
@@ -98,40 +84,15 @@ impl fmt::Display for ScaleBailout {
 pub fn scaled_weights(
     m: &SquareMatrix<ExtRatio>,
 ) -> Result<(SquareMatrix<i64>, i128), ScaleBailout> {
-    let n = m.n();
-    let mut scale: i128 = 1;
-    for (_, _, &w) in m.iter() {
-        match w {
-            Ext::Finite(r) => {
-                let den = r.denominator();
-                scale = scale
-                    .checked_mul(den / gcd(scale, den))
-                    .ok_or(ScaleBailout::ScaleOverflow)?;
-                if scale > MAX_SCALE {
-                    return Err(ScaleBailout::ScaleOverflow);
-                }
-            }
-            Ext::PosInf => {}
-            Ext::NegInf => return Err(ScaleBailout::NegInfWeight),
-        }
+    if m.as_slice().contains(&Ext::NegInf) {
+        return Err(ScaleBailout::NegInfWeight);
     }
+    let scale = common_denominator(m.as_slice().iter().filter_map(|w| w.finite()))
+        .ok_or(ScaleBailout::ScaleOverflow)?;
     // Any shortest path has at most n−1 edges, so the kernel's sums stay
     // within n·limit, far from the sentinel.
-    let limit = UNREACHABLE / (4 * (n as i64).max(1));
-    let mut out = SquareMatrix::filled(n, UNREACHABLE);
-    for (i, j, &w) in m.iter() {
-        if let Ext::Finite(r) = w {
-            let scaled = r
-                .numerator()
-                .checked_mul(scale / r.denominator())
-                .ok_or(ScaleBailout::MagnitudeOverflow)?;
-            let v = i64::try_from(scaled).map_err(|_| ScaleBailout::MagnitudeOverflow)?;
-            if !(-limit..=limit).contains(&v) {
-                return Err(ScaleBailout::MagnitudeOverflow);
-            }
-            out[(i, j)] = v;
-        }
-    }
+    let limit = UNREACHABLE / (4 * (m.n() as i64).max(1));
+    let out = scale_matrix(m, scale, limit, UNREACHABLE).ok_or(ScaleBailout::MagnitudeOverflow)?;
     Ok((out, scale))
 }
 
@@ -625,6 +586,7 @@ impl Closure<ExtRatio> {
 mod tests {
     use super::*;
     use crate::reconstruct_path;
+    use crate::scaling::MAX_SCALE;
 
     fn ratio_matrix(n: usize, edges: &[(usize, usize, i128, i128)]) -> SquareMatrix<ExtRatio> {
         let mut m = SquareMatrix::from_fn(n, |i, j| {

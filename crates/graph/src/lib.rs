@@ -26,6 +26,9 @@
 //! [`fast_max_cycle_mean`] rescales to the `i64` Karp kernel
 //! ([`karp_max_cycle_mean_i64`]) with exact fallback, and [`howard_solve`]
 //! runs policy iteration with a witness cycle and a warm-startable policy.
+//! The SHIFTS shortest-path pass scales the same way:
+//! [`try_scaled_corrections`] runs [`dense_bellman_ford_i64`], and callers
+//! fall back to [`bellman_ford`] when scaling bails.
 //!
 //! # Examples
 //!
@@ -52,7 +55,9 @@ mod floyd_warshall;
 mod howard;
 mod karp;
 mod matrix;
+mod scaled_corrections;
 mod scaled_karp;
+mod scaling;
 mod sparse;
 mod weight;
 
@@ -68,6 +73,7 @@ pub use floyd_warshall::{floyd_warshall, floyd_warshall_with_paths, reconstruct_
 pub use howard::{howard_max_cycle_mean, howard_solve, HowardSolution};
 pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
+pub use scaled_corrections::{dense_bellman_ford_i64, try_scaled_corrections};
 pub use scaled_karp::{
     fast_max_cycle_mean, karp_max_cycle_mean_i64, try_scaled_karp, CycleMeanI64, NO_EDGE,
 };

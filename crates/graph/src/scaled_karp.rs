@@ -19,28 +19,16 @@ use rayon::prelude::*;
 use clocksync_time::{Ext, Ratio};
 
 use crate::karp::extract_cycle_prefix_scan;
+use crate::scaling::{common_denominator, scale_matrix, walk_limit};
 use crate::{karp_max_cycle_mean, CycleMean, SquareMatrix};
 
 /// Sentinel for "no edge" / "no walk" in the `i64` Karp kernel. Far enough
 /// from `i64::MIN` that no intermediate the kernel forms can wrap.
 pub const NO_EDGE: i64 = i64::MIN / 4;
 
-/// Largest common denominator the scaling pass will build (same bound as
-/// the closure fast path; estimate matrices have denominators 1 or 2).
-const MAX_SCALE: i128 = 1 << 40;
-
 /// Matrices at least this large relax each round's destinations in
 /// parallel; below it the rayon fork/join overhead outweighs the row work.
 const PAR_THRESHOLD: usize = 128;
-
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.abs()
-}
 
 /// The result of the integer maximum-cycle-mean kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,38 +47,16 @@ pub struct CycleMeanI64 {
 /// `PosInf` entry, an oversized common denominator, or magnitudes big
 /// enough that an `(n+1)`-edge walk sum could approach the sentinel.
 fn scaled_cycle_weights(m: &SquareMatrix<Ext<Ratio>>) -> Option<(SquareMatrix<i64>, i128)> {
-    let n = m.n();
-    let mut scale: i128 = 1;
-    for (_, _, &w) in m.iter() {
-        match w {
-            Ext::Finite(r) => {
-                let den = r.denominator();
-                scale = scale.checked_mul(den / gcd(scale, den))?;
-                if scale > MAX_SCALE {
-                    return None;
-                }
-            }
-            // Defer the "resolve infinities first" contract to the exact
-            // kernel the caller falls back to.
-            Ext::PosInf => return None,
-            Ext::NegInf => {}
-        }
+    // Defer the "resolve infinities first" contract to the exact kernel
+    // the caller falls back to.
+    if m.as_slice().contains(&Ext::PosInf) {
+        return None;
     }
+    let scale = common_denominator(m.as_slice().iter().filter_map(|w| w.finite()))?;
     // Walks have at most n edges and the extraction sums at most n more, so
     // keep every |weight| small enough that (n+1)-term sums stay far from
     // the sentinel.
-    let limit = (i64::MAX / 4) / (n as i64 + 1);
-    let mut out = SquareMatrix::filled(n, NO_EDGE);
-    for (i, j, &w) in m.iter() {
-        if let Ext::Finite(r) = w {
-            let scaled = r.numerator().checked_mul(scale / r.denominator())?;
-            let v = i64::try_from(scaled).ok()?;
-            if !(-limit..=limit).contains(&v) {
-                return None;
-            }
-            out[(i, j)] = v;
-        }
-    }
+    let out = scale_matrix(m, scale, walk_limit(m.n()), NO_EDGE)?;
     Some((out, scale))
 }
 
@@ -270,6 +236,7 @@ pub fn fast_max_cycle_mean(m: &SquareMatrix<Ext<Ratio>>) -> Option<CycleMean> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaling::MAX_SCALE;
 
     fn ratio_matrix(n: usize, edges: &[(usize, usize, i128, i128)]) -> SquareMatrix<Ext<Ratio>> {
         let mut m = SquareMatrix::filled(n, Ext::<Ratio>::NegInf);
