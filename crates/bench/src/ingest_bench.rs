@@ -9,17 +9,22 @@
 //!   numbers, which must stay under the analytic per-link cap (window
 //!   plus two extremal witnesses per directed link) no matter how many
 //!   messages flow through.
-//! * **gc**: the retention sweep itself — the incremental
-//!   [`ViewWindow`] garbage collector (tombstones, amortized in the
-//!   number of *dropped* messages) versus the old path that materialized
-//!   the full [`ViewSet`](clocksync_model::ViewSet) and filtered it with
-//!   `retain_messages` on every GC tick (a rebuild of every event, so
-//!   O(live + dropped) per tick even when nothing is dropped). Both arms
-//!   process the identical stream and drop the identical messages; the
-//!   checker asserts the incremental arm is never slower.
+//! * **gc**: the retention sweep itself — the incremental per-link
+//!   [`ViewWindow`] tick (`gc_dominated`: only the links pushed to since
+//!   the last tick, `O(pushed + dropped)`) versus a from-scratch full
+//!   scan on the same per-link store: [`ViewWindow::dominated`] over every
+//!   live message followed by one [`ViewWindow::drop_message`] per doomed
+//!   id. The full scan has the `O(live)` shape of the earlier slot-vector
+//!   tick but not its cost (its drops are linear in the link's log, its
+//!   grouping is free), so the row measures what skipping the idle links
+//!   saves, not the change against the earlier store. Both arms process
+//!   the identical stream and drop the identical messages; the checker
+//!   asserts the incremental arm is never slower. One row is a
+//!   two-processor stream, the other a wide n=64 domain with 250
+//!   directed links, where the full scan pays for every idle link.
 //!
-//! Timings are minima over repetitions for the GC suite and single
-//! passes for the soak (its loop is already thousands of batches); the
+//! Timings are minima over three repetitions for the GC suite and best of
+//! two for the soak (its loop is already thousands of batches); the
 //! emitted JSON is hand-rolled flat numbers, like the sibling bench
 //! documents.
 
@@ -69,17 +74,21 @@ pub fn measure_ingest(arms: &[(usize, usize)], messages: u64) -> Vec<IngestRow> 
 
 /// One row of the GC comparison.
 pub struct GcRow {
+    /// Processors of the synthetic domain.
+    pub n: usize,
+    /// Directed links the stream is spread over.
+    pub links: usize,
     /// GC ticks processed (one batch of pushes per tick).
     pub ticks: usize,
     /// Messages pushed per tick.
     pub batch: usize,
     /// Per-directed-link retention window.
     pub window: usize,
-    /// Incremental tombstone GC, total nanoseconds over the stream.
+    /// Incremental per-link GC, total nanoseconds over the stream.
     pub incremental_ns: u128,
-    /// Materialize-and-`retain_messages` rebuild, total nanoseconds over
-    /// the same stream with the same drops.
-    pub rebuild_ns: u128,
+    /// Full-scan tick (`dominated` + one `drop_message` per id), total
+    /// nanoseconds over the same stream with the same drops.
+    pub full_scan_ns: u128,
     /// Live messages at the end (identical in both arms).
     pub live_end: usize,
     /// Messages dropped over the stream (identical in both arms).
@@ -87,24 +96,49 @@ pub struct GcRow {
 }
 
 impl GcRow {
-    /// Rebuild time over incremental time — the figure the checker gates
-    /// at ≥ 1.
+    /// Full-scan time over incremental time — the figure the checker
+    /// gates at ≥ 1.
     pub fn speedup(&self) -> f64 {
         if self.incremental_ns == 0 {
             f64::INFINITY
         } else {
-            self.rebuild_ns as f64 / self.incremental_ns as f64
+            self.full_scan_ns as f64 / self.incremental_ns as f64
         }
     }
 }
 
-/// A two-processor ping-pong stream with mildly varying delays, so the
-/// extremal witnesses move occasionally and most messages are dominated.
-fn synth_stream(total: usize) -> Vec<MessageObservation> {
+/// The directed links of the synthetic GC domain: a ring over `n`
+/// processors plus, for `n > 14`, chords `i → i + 7` for all but the
+/// last three processors (125 undirected links at `n = 64`).
+fn synth_links(n: usize) -> Vec<(usize, usize)> {
+    let ring = (0..n).map(|i| (i, (i + 1) % n));
+    let chords = (0..n.saturating_sub(3))
+        .filter(|_| n > 14)
+        .map(|i| (i, (i + 7) % n));
+    let mut undirected: Vec<(usize, usize)> = ring
+        .chain(chords)
+        .map(|(a, b)| (a.min(b), a.max(b)))
+        .collect();
+    undirected.sort_unstable();
+    undirected.dedup();
+    undirected
+        .iter()
+        .flat_map(|&(a, b)| [(a, b), (b, a)])
+        .collect()
+}
+
+/// A stream over `links` with mildly varying delays, so the extremal
+/// witnesses move occasionally and most messages are dominated. Links
+/// are drawn by a fixed LCG, so every run sees the same stream.
+fn synth_stream(links: &[(usize, usize)], total: usize) -> Vec<MessageObservation> {
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
     (0..total)
         .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (src, dst) = links[(state >> 33) as usize % links.len()];
             let t = 1_000 * i as i64;
-            let (src, dst) = if i % 2 == 0 { (0, 1) } else { (1, 0) };
             MessageObservation {
                 src: ProcessorId(src),
                 dst: ProcessorId(dst),
@@ -116,55 +150,69 @@ fn synth_stream(total: usize) -> Vec<MessageObservation> {
         .collect()
 }
 
-/// Times both GC strategies over the identical stream.
-///
-/// The incremental arm pushes a batch per tick and calls
-/// [`ViewWindow::gc_dominated`]. The rebuild arm computes the same
-/// dominated set, then pays the old cost — materialize the window as a
-/// validated `ViewSet` and filter it with `retain_messages` — before
-/// applying the same drops to stay in lockstep.
-pub fn measure_gc(ticks: usize, batch: usize, window: usize) -> GcRow {
-    let stream = synth_stream(ticks * batch);
-
+/// Replays `stream` in `batch`-sized ticks through one GC strategy,
+/// returning the elapsed time, the final window and the messages dropped.
+fn run_gc_arm(
+    n: usize,
+    stream: &[MessageObservation],
+    batch: usize,
+    tick: impl Fn(&mut ViewWindow) -> usize,
+) -> (u128, ViewWindow, usize) {
     let start = Instant::now();
-    let mut w = ViewWindow::new(2);
-    let mut dropped = 0usize;
+    let mut w = ViewWindow::new(n);
+    let mut dropped = 0;
     for chunk in stream.chunks(batch) {
         for m in chunk {
             w.push(*m).expect("synthetic stream is valid");
         }
-        dropped += w.gc_dominated(window);
+        dropped += tick(&mut w);
     }
-    let incremental_ns = start.elapsed().as_nanos();
-    let live_end = w.live();
+    (start.elapsed().as_nanos(), w, dropped)
+}
 
-    let start = Instant::now();
-    let mut w2 = ViewWindow::new(2);
-    let mut rebuild_dropped = 0usize;
-    for chunk in stream.chunks(batch) {
-        for m in chunk {
-            w2.push(*m).expect("synthetic stream is valid");
+/// Times both GC strategies over the identical stream on an `n`-processor
+/// domain (a ring, plus chords when `n > 14`), best of three runs each.
+///
+/// The incremental arm pushes a batch per tick and calls
+/// [`ViewWindow::gc_dominated`]. The full-scan arm computes the dominated
+/// set from scratch with [`ViewWindow::dominated`] and drops it one
+/// [`ViewWindow::drop_message`] at a time, on the same per-link store.
+pub fn measure_gc(n: usize, ticks: usize, batch: usize, window: usize) -> GcRow {
+    let links = synth_links(n);
+    let stream = synth_stream(&links, ticks * batch);
+    let incremental = |w: &mut ViewWindow| w.gc_dominated(window);
+    let full_scan = |w: &mut ViewWindow| {
+        let doomed = w.dominated(window);
+        for &id in &doomed {
+            w.drop_message(id);
         }
-        let doomed: HashSet<MessageId> = w2.dominated(window).into_iter().collect();
-        let views = w2.to_view_set().expect("windowed messages are valid");
-        let filtered = views.retain_messages(|id| !doomed.contains(&id));
-        std::hint::black_box(filtered.len());
-        for id in &doomed {
-            w2.drop_message(*id);
-        }
-        rebuild_dropped += doomed.len();
-    }
-    let rebuild_ns = start.elapsed().as_nanos();
+        doomed.len()
+    };
+    let best = |tick: &dyn Fn(&mut ViewWindow) -> usize| {
+        (0..3)
+            .map(|_| run_gc_arm(n, &stream, batch, tick))
+            .min_by_key(|(ns, _, _)| *ns)
+            .expect("three runs are not zero runs")
+    };
+    let (incremental_ns, w, dropped) = best(&incremental);
+    let (full_scan_ns, w2, scan_dropped) = best(&full_scan);
 
-    assert_eq!(live_end, w2.live(), "GC arms diverged");
-    assert_eq!(dropped, rebuild_dropped, "GC arms diverged");
+    assert_eq!(dropped, scan_dropped, "GC arms diverged");
+    assert!(
+        w.live_messages()
+            .map(|m| m.id)
+            .eq(w2.live_messages().map(|m| m.id)),
+        "GC arms diverged"
+    );
     GcRow {
+        n,
+        links: links.len(),
         ticks,
         batch,
         window,
         incremental_ns,
-        rebuild_ns,
-        live_end,
+        full_scan_ns,
+        live_end: w.live(),
         dropped,
     }
 }
@@ -175,7 +223,7 @@ pub fn measure_gc(ticks: usize, batch: usize, window: usize) -> GcRow {
 /// `cores` records how much true parallelism the box could add on top).
 pub fn bench_ingest_json() -> String {
     let ingest = measure_ingest(&[(1, 1), (4, 1), (4, 4)], 100_000);
-    let gc = measure_gc(2_000, 32, 16);
+    let gc = [measure_gc(2, 2_000, 32, 16), measure_gc(64, 2_000, 64, 32)];
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -216,19 +264,25 @@ pub fn bench_ingest_json() -> String {
     }
     out.push_str("  ],\n");
     out.push_str("  \"gc\": [\n");
-    let _ = writeln!(
-        out,
-        "    {{ \"ticks\": {}, \"batch\": {}, \"window\": {}, \"incremental_ns\": {}, \
-         \"rebuild_ns\": {}, \"live_end\": {}, \"dropped\": {}, \"speedup\": {:.2} }}",
-        gc.ticks,
-        gc.batch,
-        gc.window,
-        gc.incremental_ns,
-        gc.rebuild_ns,
-        gc.live_end,
-        gc.dropped,
-        gc.speedup(),
-    );
+    for (idx, row) in gc.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    {{ \"n\": {}, \"links\": {}, \"ticks\": {}, \"batch\": {}, \"window\": {}, \
+             \"incremental_ns\": {}, \"full_scan_ns\": {}, \"live_end\": {}, \"dropped\": {}, \
+             \"speedup\": {:.2} }}{}",
+            row.n,
+            row.links,
+            row.ticks,
+            row.batch,
+            row.window,
+            row.incremental_ns,
+            row.full_scan_ns,
+            row.live_end,
+            row.dropped,
+            row.speedup(),
+            if idx + 1 < gc.len() { "," } else { "" },
+        );
+    }
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
@@ -239,7 +293,7 @@ pub fn bench_ingest_json() -> String {
 /// retained_cap` in every row), a sustained-throughput floor, a
 /// `threads > 1` worker-engine arm whose throughput is at least
 /// `min_scaling`× the single-shard single-thread baseline, and the
-/// incremental GC at least matching the rebuild path. Throughput, the
+/// incremental GC at least matching the full-scan tick. Throughput, the
 /// scaling ratio and the GC speedup are recomputed from the integer
 /// timings, so hand-edited derived fields cannot mask a regression.
 ///
@@ -348,18 +402,18 @@ pub fn check_bench_ingest_json(
                 .map_err(|e| e.to_string())
         };
         let incremental = get("incremental_ns")?;
-        let rebuild = get("rebuild_ns")?;
-        if incremental <= 0 || rebuild <= 0 {
+        let full_scan = get("full_scan_ns")?;
+        if incremental <= 0 || full_scan <= 0 {
             return Err("gc timings must be positive".to_string());
         }
         if get("dropped")? <= 0 {
             return Err("gc comparison dropped no messages; the stream is degenerate".to_string());
         }
         // The satellite's before/after claim: incremental GC never loses
-        // to the full rebuild on the identical stream.
-        if incremental > rebuild {
+        // to the full-scan tick on the identical stream.
+        if incremental > full_scan {
             return Err(format!(
-                "incremental GC ({incremental} ns) is slower than the rebuild path ({rebuild} ns)"
+                "incremental GC ({incremental} ns) is slower than the full-scan tick ({full_scan} ns)"
             ));
         }
     }
@@ -373,18 +427,24 @@ mod tests {
     #[test]
     fn gc_comparison_runs_and_incremental_wins() {
         // Small sizes: checks the harness logic and the headline claim on
-        // a stream big enough for the asymptotics to show.
-        let row = measure_gc(200, 16, 8);
-        assert_eq!(row.ticks, 200);
+        // streams big enough for the asymptotics to show.
+        let row = measure_gc(2, 200, 16, 8);
+        assert_eq!((row.ticks, row.links), (200, 2));
         assert!(row.dropped > 0);
         assert!(row.live_end <= 2 * (8 + 2));
-        assert!(row.incremental_ns > 0 && row.rebuild_ns > 0);
-        assert!(
-            row.incremental_ns <= row.rebuild_ns,
-            "incremental {} ns vs rebuild {} ns",
-            row.incremental_ns,
-            row.rebuild_ns
-        );
+        let wide = measure_gc(64, 200, 64, 8);
+        assert_eq!(wide.links, 250);
+        assert!(wide.live_end <= 250 * (8 + 2));
+        for row in [row, wide] {
+            assert!(row.incremental_ns > 0 && row.full_scan_ns > 0);
+            assert!(
+                row.incremental_ns <= row.full_scan_ns,
+                "n={}: incremental {} ns vs full scan {} ns",
+                row.n,
+                row.incremental_ns,
+                row.full_scan_ns
+            );
+        }
     }
 
     #[test]
@@ -409,7 +469,7 @@ mod tests {
         multi_elapsed_ns: u64,
         peak: u64,
         incremental: u64,
-        rebuild: u64,
+        full_scan: u64,
     ) -> String {
         format!(
             "{{ \"bench\": \"sharded_ingest\", \"cores\": 4, \"ingest\": [ \
@@ -426,7 +486,7 @@ mod tests {
              \"msgs_per_sec\": 1.0, \"retained_end\": 500, \"retained_peak\": {peak}, \
              \"retained_cap\": 2176, \"approx_bytes_end\": 1, \"rss_end_bytes\": 123 }} ], \
              \"gc\": [ {{ \"ticks\": 10, \"batch\": 8, \"window\": 4, \"incremental_ns\": {incremental}, \
-             \"rebuild_ns\": {rebuild}, \"live_end\": 12, \"dropped\": 60, \"speedup\": 1.0 }} ] }}"
+             \"full_scan_ns\": {full_scan}, \"live_end\": 12, \"dropped\": 60, \"speedup\": 1.0 }} ] }}"
         )
     }
 
@@ -490,7 +550,7 @@ mod tests {
              \"msgs_per_sec\": 1.0, \"retained_end\": 1, \"retained_peak\": 1, \
              \"retained_cap\": 2, \"approx_bytes_end\": 1, \"rss_end_bytes\": null } ], \
              \"gc\": [ { \"ticks\": 1, \"batch\": 1, \"window\": 1, \"incremental_ns\": 1, \
-             \"rebuild_ns\": 2, \"live_end\": 1, \"dropped\": 1, \"speedup\": 2.0 } ] }";
+             \"full_scan_ns\": 2, \"live_end\": 1, \"dropped\": 1, \"speedup\": 2.0 } ] }";
         assert!(check_bench_ingest_json(no_multi, 0.0, 1.0)
             .unwrap_err()
             .contains("no threads>1 arm"));
@@ -524,7 +584,7 @@ mod tests {
             1.0,
         )
         .unwrap_err();
-        assert!(err.contains("slower than the rebuild"), "{err}");
+        assert!(err.contains("slower than the full-scan tick"), "{err}");
     }
 
     #[test]
@@ -538,7 +598,7 @@ mod tests {
              \"msgs_per_sec\": 1.0, \"retained_end\": 1, \"retained_peak\": 1, \
              \"retained_cap\": 2, \"approx_bytes_end\": 1, \"rss_end_bytes\": null } ], \
              \"gc\": [ { \"ticks\": 1, \"batch\": 1, \"window\": 1, \"incremental_ns\": 1, \
-             \"rebuild_ns\": 2, \"live_end\": 1, \"dropped\": 1, \"speedup\": 2.0 } ] }";
+             \"full_scan_ns\": 2, \"live_end\": 1, \"dropped\": 1, \"speedup\": 2.0 } ] }";
         assert!(check_bench_ingest_json(one, 0.0, 1.0)
             .unwrap_err()
             .contains("at least 2"));

@@ -32,29 +32,158 @@
 //! so those links' messages stay inside the recency window, or bypass GC
 //! for them entirely.
 //!
-//! Deletion is incremental: dropping a message tombstones its slot in
-//! `O(1)` and the slot vector is compacted only once the tombstones
-//! outnumber the survivors, so a GC tick costs amortized `O(dropped)` —
-//! unlike rebuilding the whole view set per tick
-//! ([`ViewSet::retain_messages`] is `O(views · messages)` and remains the
-//! right tool only for one-shot prefix experiments).
+//! # Cost
+//!
+//! The store is one push-ordered log per directed link, and each log
+//! tracks its current `d̃min`/`d̃max` witnesses in `O(1)` per push. After a
+//! GC tick a log holds at most its recency tail plus the two witnesses,
+//! and everything a later tick may drop sits at its front. A tick
+//! therefore visits only the links pushed to since the previous tick and
+//! pops their fronts: `O(pushed + dropped)` per tick. Only a tick whose
+//! window is smaller than the previous one's revisits every link. An
+//! earlier store kept one tombstoned slot vector for the whole domain and
+//! regrouped every live message by link on every tick — an `O(live)` scan
+//! per tick even when nothing was dropped, and the largest stage of the
+//! service's ingestion path. [`ViewWindow::dominated`] still computes the
+//! dominated set from scratch; it is the audit predicate the incremental
+//! tick is tested against. ([`ViewSet::retain_messages`], a rebuild of
+//! every event, remains the right tool only for one-shot prefix
+//! experiments.)
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap, VecDeque};
 
 use clocksync_time::{ClockTime, Nanos};
 
 use crate::view::{MessageObservation, View, ViewSet};
 use crate::{MessageId, ModelError, ProcessorId};
 
-/// Per-link evidence rows used by [`ViewWindow::dominated`]: the slot
-/// position, message id, and estimated delay of each live message.
-type LinkEvidence = Vec<(usize, MessageId, Nanos)>;
+/// One live message of a directed link; the link supplies src and dst.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Window-wide push sequence number: orders messages across links.
+    seq: u64,
+    id: MessageId,
+    send_clock: ClockTime,
+    recv_clock: ClockTime,
+}
 
-/// Tombstone-count floor below which compaction is not worth the scan.
-const COMPACT_MIN_DEAD: usize = 32;
+impl Entry {
+    /// The estimated delay, ordered by push position on ties — the key
+    /// both witnesses are chosen by. `None` is unreachable for an entry
+    /// that passed [`ViewWindow::push`].
+    fn key(&self) -> Option<(Nanos, u64)> {
+        Some((self.recv_clock.checked_sub(self.send_clock)?, self.seq))
+    }
+}
 
-/// A bounded, incrementally-compacted store of message observations for
-/// one sync domain.
+/// The live messages of one directed link, in push order.
+#[derive(Debug, Clone)]
+struct LinkLog {
+    src: ProcessorId,
+    dst: ProcessorId,
+    entries: VecDeque<Entry>,
+    /// `(delay, seq)` of the earliest entry at the minimum delay; only
+    /// meaningful while `entries` is non-empty.
+    min: (Nanos, u64),
+    /// `(delay, seq)` of the latest entry at the maximum delay.
+    max: (Nanos, u64),
+    /// Queued for the next GC tick.
+    dirty: bool,
+}
+
+impl LinkLog {
+    fn is_witness(&self, seq: u64) -> bool {
+        seq == self.min.1 || seq == self.max.1
+    }
+
+    /// Recomputes both witnesses from the live entries (after one of them
+    /// was dropped out of band).
+    fn recompute_witnesses(&mut self) {
+        let keys = || self.entries.iter().filter_map(Entry::key);
+        if let (Some(min), Some(max)) = (keys().min(), keys().max()) {
+            self.min = min;
+            self.max = max;
+        }
+    }
+
+    /// One GC step on this link: drops every entry that is outside the
+    /// last `window` and not a witness. Such entries all sit at the front
+    /// of the log (earlier ticks already dropped the rest), so this pops
+    /// the front and puts back the at most two witnesses found there.
+    fn gc(&mut self, window: usize, index: &mut HashMap<MessageId, usize>) -> usize {
+        let len = self.entries.len();
+        let mut dropped = 0;
+        if len > window {
+            // Window 0 keeps no recency tail at all — only the extremal
+            // witnesses survive (`get` is `None` exactly when
+            // `window == 0`: index `len` is one past the last entry).
+            #[cfg(not(feature = "bug-window0"))]
+            let tail_seq = self.entries.get(len - window).map_or(u64::MAX, |e| e.seq);
+            // The pre-fix indexing, resurrected for fuzzer validation:
+            // at `window == 0` this reads one past the end of the log
+            // and panics on any GC tick that visits live evidence.
+            #[cfg(feature = "bug-window0")]
+            let tail_seq = self.entries[len - window].seq;
+            let mut kept = [None; 2];
+            let mut k = 0;
+            while let Some(e) = self.entries.pop_front() {
+                if e.seq >= tail_seq {
+                    self.entries.push_front(e);
+                    break;
+                }
+                if self.is_witness(e.seq) {
+                    kept[k] = Some(e);
+                    k += 1;
+                } else {
+                    index.remove(&e.id);
+                    dropped += 1;
+                }
+            }
+            for e in kept[..k].iter().rev().flatten() {
+                self.entries.push_front(*e);
+            }
+        }
+        // Keep the buffer O(window + 2): a burst of pushes may have grown
+        // it far past what survives the tick.
+        let cap = window.saturating_add(2).saturating_mul(2);
+        if self.entries.capacity() > cap.saturating_mul(2) {
+            self.entries.shrink_to(cap);
+        }
+        dropped
+    }
+}
+
+/// The slot of the directed link `src → dst`, created on first use.
+fn link_slot(
+    out_links: &mut Vec<Vec<(usize, usize)>>,
+    links: &mut Vec<LinkLog>,
+    src: ProcessorId,
+    dst: ProcessorId,
+) -> usize {
+    if out_links.len() <= src.index() {
+        out_links.resize_with(src.index() + 1, Vec::new);
+    }
+    let out = &mut out_links[src.index()];
+    match out.binary_search_by_key(&dst.index(), |&(d, _)| d) {
+        Ok(i) => out[i].1,
+        Err(i) => {
+            let slot = links.len();
+            out.insert(i, (dst.index(), slot));
+            links.push(LinkLog {
+                src,
+                dst,
+                entries: VecDeque::new(),
+                min: (Nanos::ZERO, 0),
+                max: (Nanos::ZERO, 0),
+                dirty: false,
+            });
+            slot
+        }
+    }
+}
+
+/// A bounded store of message observations for one sync domain, kept as
+/// one push-ordered log per directed link.
 ///
 /// # Examples
 ///
@@ -83,13 +212,24 @@ const COMPACT_MIN_DEAD: usize = 32;
 #[derive(Debug, Clone)]
 pub struct ViewWindow {
     n: usize,
-    /// Push-ordered slots; `None` is a tombstone awaiting compaction.
-    slots: Vec<Option<MessageObservation>>,
-    /// Live message id → slot position.
+    /// Every directed link ever pushed to, in first-push order.
+    links: Vec<LinkLog>,
+    /// Per source processor: `(dst, link slot)`, sorted by `dst`. A
+    /// `HashMap<(src, dst), slot>` in its place made the traced e2ebench
+    /// `window.push` slower in six of six `resync-churn`/`wire-mixed`
+    /// runs on a 2-vCPU VM (259/280 → 695/440 ns per call on
+    /// `resync-churn`, seeds 1/2).
+    out_links: Vec<Vec<(usize, usize)>>,
+    /// Live message id → link slot.
     index: HashMap<MessageId, usize>,
+    /// Link slots pushed to since the last GC tick.
+    dirty: Vec<usize>,
+    /// The window of the last GC tick: every link not in `dirty` holds
+    /// nothing that window would drop.
+    last_window: usize,
+    last_gc_links: usize,
     pushed: u64,
     dropped: u64,
-    compactions: u64,
 }
 
 impl ViewWindow {
@@ -97,11 +237,14 @@ impl ViewWindow {
     pub fn new(n: usize) -> ViewWindow {
         ViewWindow {
             n,
-            slots: Vec::new(),
+            links: Vec::new(),
+            out_links: Vec::new(),
             index: HashMap::new(),
+            dirty: Vec::new(),
+            last_window: 0,
+            last_gc_links: 0,
             pushed: 0,
             dropped: 0,
-            compactions: 0,
         }
     }
 
@@ -125,15 +268,16 @@ impl ViewWindow {
         self.pushed
     }
 
-    /// Messages dropped by GC so far.
+    /// Messages dropped so far, by GC or explicitly.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Slot-vector compactions performed so far (each costs one scan of
-    /// the live messages; triggered only when tombstones outnumber them).
-    pub fn compactions(&self) -> u64 {
-        self.compactions
+    /// Directed links the last [`ViewWindow::gc_dominated`] tick visited:
+    /// the links pushed to since the tick before it, or every link when
+    /// the window shrank.
+    pub fn last_gc_links(&self) -> usize {
+        self.last_gc_links
     }
 
     /// Whether message `id` is currently retained.
@@ -141,12 +285,14 @@ impl ViewWindow {
         self.index.contains_key(&id)
     }
 
-    /// A deterministic estimate of the retained bytes: slots (live and
-    /// tombstoned) plus the id index. Used by the service's memory gauges;
-    /// bounded whenever `live` is bounded because compaction keeps
-    /// `slots.len() < 2 · live + COMPACT_MIN_DEAD`.
+    /// A deterministic estimate of the retained bytes: the link logs'
+    /// buffers plus the id index. Used by the service's memory gauges;
+    /// bounded whenever `live` is bounded because every GC tick caps each
+    /// visited log's buffer at `4 · (window + 2)` entries.
     pub fn approx_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Option<MessageObservation>>()
+        let buffers: usize = self.links.iter().map(|l| l.entries.capacity()).sum();
+        self.links.len() * std::mem::size_of::<LinkLog>()
+            + buffers * std::mem::size_of::<Entry>()
             + self.index.len()
                 * (std::mem::size_of::<MessageId>() + 2 * std::mem::size_of::<usize>())
     }
@@ -173,9 +319,9 @@ impl ViewWindow {
                 });
             }
         }
-        if m.recv_clock.checked_sub(m.send_clock).is_none() {
+        let Some(delay) = m.recv_clock.checked_sub(m.send_clock) else {
             return Err(ModelError::ClockOverflow { id: m.id });
-        }
+        };
         if m.send_clock < ClockTime::ZERO || m.recv_clock < ClockTime::ZERO {
             let processor = if m.send_clock < ClockTime::ZERO {
                 m.src
@@ -184,31 +330,76 @@ impl ViewWindow {
             };
             return Err(ModelError::UnorderedView { processor });
         }
-        if self.index.contains_key(&m.id) {
+        let hash_map::Entry::Vacant(vacant) = self.index.entry(m.id) else {
             return Err(ModelError::DuplicateMessage { id: m.id });
-        }
-        self.index.insert(m.id, self.slots.len());
-        self.slots.push(Some(m));
+        };
+        let slot = link_slot(&mut self.out_links, &mut self.links, m.src, m.dst);
+        vacant.insert(slot);
+        let seq = self.pushed;
         self.pushed += 1;
+        let link = &mut self.links[slot];
+        let first = link.entries.is_empty();
+        if first || delay < link.min.0 {
+            link.min = (delay, seq);
+        }
+        if first || delay >= link.max.0 {
+            link.max = (delay, seq);
+        }
+        link.entries.push_back(Entry {
+            seq,
+            id: m.id,
+            send_clock: m.send_clock,
+            recv_clock: m.recv_clock,
+        });
+        if !link.dirty {
+            link.dirty = true;
+            self.dirty.push(slot);
+        }
         Ok(())
     }
 
-    /// Drops one message by id in amortized `O(1)` (tombstone now, compact
-    /// the slot vector only when tombstones outnumber survivors). Returns
-    /// `false` if the id is not retained.
+    /// The slot of the directed link `src → dst`, if it was ever pushed to.
+    fn find_link(&self, src: ProcessorId, dst: ProcessorId) -> Option<usize> {
+        let out = self.out_links.get(src.index())?;
+        let i = out.binary_search_by_key(&dst.index(), |&(d, _)| d).ok()?;
+        Some(out[i].1)
+    }
+
+    /// Drops one message by id, in time linear in its link's retained
+    /// messages. Dropping a witness recomputes that link's witnesses.
+    /// Returns `false` if the id is not retained.
     pub fn drop_message(&mut self, id: MessageId) -> bool {
-        let Some(pos) = self.index.remove(&id) else {
+        let Some(slot) = self.index.remove(&id) else {
             return false;
         };
-        self.slots[pos] = None;
+        let link = &mut self.links[slot];
+        if let Some(pos) = link.entries.iter().position(|e| e.id == id) {
+            let e = link.entries.remove(pos).expect("position is in bounds");
+            if link.is_witness(e.seq) {
+                link.recompute_witnesses();
+            }
+        }
         self.dropped += 1;
-        self.maybe_compact();
         true
     }
 
     /// The retained messages in push order.
-    pub fn live_messages(&self) -> impl Iterator<Item = &MessageObservation> {
-        self.slots.iter().filter_map(Option::as_ref)
+    pub fn live_messages(&self) -> impl Iterator<Item = MessageObservation> {
+        let mut all: Vec<(u64, MessageObservation)> = Vec::with_capacity(self.live());
+        for link in &self.links {
+            all.extend(link.entries.iter().map(|e| {
+                let m = MessageObservation {
+                    src: link.src,
+                    dst: link.dst,
+                    id: e.id,
+                    send_clock: e.send_clock,
+                    recv_clock: e.recv_clock,
+                };
+                (e.seq, m)
+            }));
+        }
+        all.sort_unstable_by_key(|&(seq, _)| seq);
+        all.into_iter().map(|(_, m)| m)
     }
 
     /// Drops every retained message of the undirected link `{p, q}` (both
@@ -216,75 +407,61 @@ impl ViewWindow {
     /// counterpart of evidence retraction: after a link is forgotten, its
     /// messages must leave the auditable history too, or
     /// [`ViewWindow::to_view_set`] would resurrect the retracted evidence.
-    /// Amortized `O(dropped)` like [`ViewWindow::drop_message`].
+    /// `O(dropped)`: only the two links' own logs are touched.
     pub fn drop_link(&mut self, p: ProcessorId, q: ProcessorId) -> usize {
-        let doomed: Vec<MessageId> = self
-            .live_messages()
-            .filter(|m| (m.src == p && m.dst == q) || (m.src == q && m.dst == p))
-            .map(|m| m.id)
-            .collect();
-        let count = doomed.len();
-        for id in doomed {
-            self.drop_message(id);
+        let mut count = 0;
+        for (src, dst) in [(p, q), (q, p)] {
+            let Some(slot) = self.find_link(src, dst) else {
+                continue;
+            };
+            let entries = std::mem::take(&mut self.links[slot].entries);
+            count += entries.len();
+            for e in entries {
+                self.index.remove(&e.id);
+            }
         }
+        self.dropped += count as u64;
         count
     }
 
     /// The ids the dominated-evidence policy would drop at window size
     /// `per_link_window`: on each directed link, every message that is
-    /// neither the first `d̃min` witness, nor the first `d̃max` witness,
+    /// neither the first `d̃min` witness, nor the last `d̃max` witness,
     /// nor one of the `per_link_window` most recently pushed.
     ///
-    /// This is the predicate behind [`ViewWindow::gc_dominated`], exposed
-    /// so callers can audit a GC tick before (or without) applying it.
+    /// Computed from scratch over every retained message, independently
+    /// of the witnesses, the pending-link queue and the order of the
+    /// per-link logs that [`ViewWindow::gc_dominated`] maintains (the
+    /// recency tail is taken by push sequence number), so callers can
+    /// audit a GC tick before (or without) applying it: right after
+    /// `gc_dominated(w)`, `dominated(w)` is empty.
     pub fn dominated(&self, per_link_window: usize) -> Vec<MessageId> {
-        let mut per_link: HashMap<(usize, usize), LinkEvidence> = HashMap::new();
-        for (pos, m) in self.slots.iter().enumerate() {
-            let Some(m) = m else { continue };
-            // Validated at push; a hypothetical overflow is conservatively
-            // treated as non-dominated (kept).
-            let Some(delay) = m.recv_clock.checked_sub(m.send_clock) else {
-                continue;
-            };
-            per_link
-                .entry((m.src.index(), m.dst.index()))
-                .or_default()
-                .push((pos, m.id, delay));
-        }
         let mut doomed = Vec::new();
-        for entries in per_link.values() {
+        let mut seqs = Vec::new();
+        for link in &self.links {
+            let entries = &link.entries;
             if entries.len() <= per_link_window {
                 continue;
             }
-            let min_witness = entries
-                .iter()
-                .map(|&(pos, _, d)| (d, pos))
-                .min()
-                .map(|(_, pos)| pos);
-            let max_witness = entries
-                .iter()
-                .map(|&(pos, _, d)| (d, pos))
-                .max()
-                .map(|(_, pos)| pos);
-            // Window 0 keeps no recency tail at all — only the extremal
-            // witnesses survive (`get` is `None` exactly when
-            // `per_link_window == 0`, since `entries.len()` is in bounds
-            // of nothing).
-            #[cfg(not(feature = "bug-window0"))]
-            let tail_start = entries
-                .get(entries.len() - per_link_window)
-                .map(|&(pos, _, _)| pos);
-            // The pre-fix indexing, resurrected for fuzzer validation:
-            // at `per_link_window == 0` this reads one past the end of
-            // `entries` and panics on any GC tick with live evidence.
-            #[cfg(feature = "bug-window0")]
-            let tail_start = Some(entries[entries.len() - per_link_window].0);
-            for &(pos, id, _) in entries {
-                let keep = tail_start.is_some_and(|start| pos >= start)
-                    || Some(pos) == min_witness
-                    || Some(pos) == max_witness;
+            // Validated at push; a hypothetical overflow is conservatively
+            // treated as non-dominated (kept).
+            let min_witness = entries.iter().filter_map(Entry::key).min().map(|k| k.1);
+            let max_witness = entries.iter().filter_map(Entry::key).max().map(|k| k.1);
+            // The recency tail by push sequence number, not by position
+            // in the log, so a log the tick left out of order still shows.
+            seqs.clear();
+            seqs.extend(entries.iter().map(|e| e.seq));
+            let tail_from = match per_link_window {
+                0 => u64::MAX,
+                w => *seqs.select_nth_unstable(entries.len() - w).1,
+            };
+            for e in entries {
+                let keep = e.seq >= tail_from
+                    || e.key().is_none()
+                    || Some(e.seq) == min_witness
+                    || Some(e.seq) == max_witness;
                 if !keep {
-                    doomed.push(id);
+                    doomed.push(e.id);
                 }
             }
         }
@@ -293,18 +470,36 @@ impl ViewWindow {
     }
 
     /// Runs one GC tick: drops every [dominated](ViewWindow::dominated)
-    /// message, returning how many were dropped. Amortized `O(dropped)`
-    /// plus the per-tick scan of the live messages.
+    /// message, returning how many were dropped.
+    ///
+    /// Visits only the links pushed to since the previous tick — every
+    /// other link already holds nothing but its tail and witnesses — so a
+    /// tick costs `O(pushed + dropped)`; only a tick whose window is
+    /// smaller than the previous tick's visits every link. (The earlier
+    /// slot-vector store rescanned every live message on every tick.)
     ///
     /// Never drops a `d̃min`/`d̃max` witness, so the per-link extrema of
     /// [`ViewWindow::to_view_set`] are identical before and after — the
     /// never-loosens retention invariant.
     pub fn gc_dominated(&mut self, per_link_window: usize) -> usize {
-        let doomed = self.dominated(per_link_window);
-        let count = doomed.len();
-        for id in doomed {
-            self.drop_message(id);
+        let mut count = 0;
+        if per_link_window < self.last_window {
+            for link in &mut self.links {
+                link.dirty = false;
+                count += link.gc(per_link_window, &mut self.index);
+            }
+            self.last_gc_links = self.links.len();
+        } else {
+            for &slot in &self.dirty {
+                let link = &mut self.links[slot];
+                link.dirty = false;
+                count += link.gc(per_link_window, &mut self.index);
+            }
+            self.last_gc_links = self.dirty.len();
         }
+        self.dirty.clear();
+        self.last_window = per_link_window;
+        self.dropped += count as u64;
         count
     }
 
@@ -344,21 +539,6 @@ impl ViewWindow {
             })
             .collect();
         ViewSet::new(views)
-    }
-
-    fn maybe_compact(&mut self) {
-        let dead = self.slots.len() - self.index.len();
-        if dead <= self.index.len() || dead < COMPACT_MIN_DEAD {
-            return;
-        }
-        self.slots.retain(Option::is_some);
-        self.index = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(pos, m)| (m.as_ref().expect("tombstones were just removed").id, pos))
-            .collect();
-        self.compactions += 1;
     }
 }
 
@@ -527,22 +707,70 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_compact_amortized() {
+    fn gc_bounds_each_link_buffer() {
+        // A 2,000-message burst on one link grows its log far past what
+        // survives; one tick at window 8 must give the memory back.
         let mut w = ViewWindow::new(2);
-        let total = 4 * COMPACT_MIN_DEAD as u64;
-        for i in 0..total {
-            w.push(msg(i, P, Q, i as i64, i as i64 + 1)).unwrap();
+        for i in 0..2_000u64 {
+            let send = 10 * i as i64;
+            w.push(msg(i, P, Q, send, send + 1 + (i as i64 * 37) % 97))
+                .unwrap();
         }
-        for i in 0..total - 4 {
-            assert!(w.drop_message(MessageId(i)));
+        assert!(w.approx_bytes() > 2_000 * std::mem::size_of::<Entry>());
+        assert_eq!(w.gc_dominated(8), 2_000 - w.live());
+        assert!(w.live() <= 8 + 2);
+        let bound = 4 * (8 + 2) * std::mem::size_of::<Entry>();
+        assert!(
+            w.approx_bytes() <= bound,
+            "{} bytes retained for {} messages (bound {bound})",
+            w.approx_bytes(),
+            w.live()
+        );
+        // The survivors keep their push order.
+        let ids: Vec<u64> = w.live_messages().map(|m| m.id.0).collect();
+        assert!(ids.windows(2).all(|p| p[0] < p[1]), "{ids:?}");
+        assert!(ids.ends_with(&(1_992..2_000).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn a_tick_visits_only_the_links_pushed_since_the_last() {
+        let r = ProcessorId(2);
+        let mut w = ViewWindow::new(3);
+        for i in 0..12u64 {
+            let (src, dst) = [(P, Q), (Q, P), (P, r)][i as usize % 3];
+            w.push(msg(i, src, dst, 10 * i as i64, 10 * i as i64 + 5))
+                .unwrap();
         }
-        assert!(!w.drop_message(MessageId(0)));
-        assert_eq!(w.live(), 4);
-        assert!(w.compactions() >= 1);
-        // The slot vector shrank with the live set; bytes stay bounded.
-        assert!(w.slots.len() <= 2 * w.live() + COMPACT_MIN_DEAD);
+        w.gc_dominated(2);
+        assert_eq!(w.last_gc_links(), 3);
+        w.push(msg(12, Q, P, 200, 204)).unwrap();
+        w.gc_dominated(2);
+        assert_eq!(w.last_gc_links(), 1);
+        // A growing window keeps more, so untouched links stay clean...
+        assert_eq!(w.gc_dominated(3), 0);
+        assert_eq!(w.last_gc_links(), 0);
+        // ...but a shrinking one must revisit every link.
+        assert!(w.gc_dominated(1) > 0);
+        assert_eq!(w.last_gc_links(), 3);
+        assert!(w.dominated(1).is_empty());
+    }
+
+    #[test]
+    fn dropping_a_witness_promotes_the_next_extreme() {
+        let mut w = ViewWindow::new(2);
+        // Delays 5, 90, 50, 7, 60: witnesses m0 (min) and m1 (max).
+        for (i, d) in [5, 90, 50, 7, 60].into_iter().enumerate() {
+            let send = 100 * i as i64;
+            w.push(msg(i as u64, P, Q, send, send + d)).unwrap();
+        }
+        assert!(w.drop_message(MessageId(0)));
+        assert!(w.drop_message(MessageId(1)));
+        assert!(!w.drop_message(MessageId(1)));
+        // m3 (7) and m4 (60) are the new witnesses; window 0 keeps just them.
+        assert_eq!(w.gc_dominated(0), 1);
         let ids: Vec<MessageId> = w.live_messages().map(|m| m.id).collect();
-        assert_eq!(ids, (total - 4..total).map(MessageId).collect::<Vec<_>>());
+        assert_eq!(ids, vec![MessageId(3), MessageId(4)]);
+        assert_eq!(w.dropped(), 3);
     }
 
     #[test]

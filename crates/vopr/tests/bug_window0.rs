@@ -1,12 +1,13 @@
 //! The fuzzer's acceptance test: rediscover a real, historical bug.
 //!
-//! PR 6 fixed an out-of-bounds index in `ViewWindow::dominated` when the
+//! `ViewWindow`'s GC once shipped an out-of-bounds index when the
 //! retention window is zero (`entries[entries.len() - 0]`). The
-//! `bug-window0` cargo feature re-introduces exactly that indexing, and
-//! this test — compiled only under the feature — asserts the whole
-//! pipeline works end to end: generation finds the panic from seeds
-//! alone, the no-panic oracle attributes it, and the shrinker reduces the
-//! scenario to a handful of events whose replay command a human can run.
+//! `bug-window0` cargo feature re-introduces that indexing in the
+//! per-link GC tick, and this test — compiled only under the feature —
+//! asserts the whole pipeline works end to end: generation finds the
+//! panic from seeds alone, the no-panic oracle attributes it, and the
+//! shrinker reduces the scenario to a handful of events whose replay
+//! command a human can run.
 #![cfg(feature = "bug-window0")]
 
 use clocksync_vopr::{find_failure, run_scenario, shrink, with_quiet_panics, Event, Scenario};

@@ -196,3 +196,69 @@ fn faulty_run_counters_reflect_the_fault_log() {
         faulty.log.dropped.len() as u64
     );
 }
+
+/// The service's `svc.ingest` span reports next to `gc_dropped` how many
+/// directed links the batch's GC tick visited (`gc_links`): the links the
+/// batch pushed to, not every link of the domain. Like every other field
+/// it is a pure function of the ingested batches.
+#[test]
+fn service_ingest_spans_report_the_gc_scope_deterministically() {
+    use clocksync::{BatchObservation, DelayRange, LinkAssumption, Network};
+    use clocksync_model::ProcessorId;
+    use clocksync_obs::TraceRecord;
+    use clocksync_service::{ObservationBatch, SyncService};
+    use clocksync_time::ClockTime;
+
+    let obs = |src: usize, dst: usize, send: i64| BatchObservation {
+        src: ProcessorId(src),
+        dst: ProcessorId(dst),
+        send_clock: ClockTime::from_nanos(send),
+        recv_clock: ClockTime::from_nanos(send + 300 + send % 7),
+    };
+    let run = || {
+        let bounds =
+            LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::ZERO, Nanos::from_micros(1)));
+        let network = Network::builder(3)
+            .link(ProcessorId(0), ProcessorId(1), bounds.clone())
+            .link(ProcessorId(1), ProcessorId(2), bounds)
+            .build();
+        let recorder = Recorder::enabled();
+        let mut svc = SyncService::new(1, 2).with_recorder(recorder.clone());
+        svc.register_domain("d", network).unwrap();
+        let batches = [
+            vec![obs(0, 1, 0), obs(1, 0, 10), obs(1, 2, 20), obs(0, 1, 30)],
+            vec![obs(1, 2, 100), obs(1, 2, 110)],
+            vec![obs(2, 1, 200), obs(0, 1, 210)],
+        ];
+        for batch in batches {
+            svc.ingest(&ObservationBatch::new("d", batch)).unwrap();
+        }
+        recorder
+            .snapshot()
+            .records
+            .into_iter()
+            .filter_map(|r| match r {
+                TraceRecord::Span { name, fields, .. } if name == "svc.ingest" => Some(fields),
+                _ => None,
+            })
+            .map(|fields| {
+                let field = |key: &str| {
+                    fields
+                        .iter()
+                        .find(|(k, _)| k == key)
+                        .map(|(_, v)| v.clone())
+                        .unwrap_or_else(|| panic!("svc.ingest span lacks `{key}`"))
+                };
+                (field("gc_dropped"), field("gc_links"))
+            })
+            .collect::<Vec<_>>()
+    };
+    let first = run();
+    assert_eq!(first, run(), "gc fields must not depend on the run");
+    let links: Vec<FieldValue> = first.into_iter().map(|(_, links)| links).collect();
+    assert_eq!(
+        links,
+        [3, 1, 2].map(FieldValue::Int).to_vec(),
+        "each tick visits only the links its batch pushed to"
+    );
+}
